@@ -1,5 +1,5 @@
 //! Timestream substrate benches: ingest (dense vs change-point — the
-//! DESIGN.md §5 storage ablation), range queries, windowed aggregation,
+//! DESIGN.md §5 storage ablation), range and limited queries, windowed aggregation,
 //! and the durability path (WAL append + crash recovery).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -69,6 +69,12 @@ fn query(c: &mut Criterion) {
         b.iter(|| db.query_window("t", &q, 86_400, Aggregate::Mean).unwrap())
     });
     group.bench_function("latest", |b| b.iter(|| db.latest("t", &q).unwrap()));
+    // Every series, capped at 10 rows: the merge stops at the limit, so
+    // this prices one heap entry per series instead of every point.
+    let unfiltered = Query::measure("sps").limit(10);
+    group.bench_function("unfiltered_limit_10", |b| {
+        b.iter(|| db.query("t", &unfiltered).unwrap())
+    });
     // The profiled path tallies per-stage cost counters and records the
     // query histograms; benched against filtered_scan it bounds the
     // observability overhead on the hot read path.

@@ -214,9 +214,8 @@ impl Gateway {
     /// flight-recorder entry and the `spotlake_query_cost` histogram, and
     /// swaps in the EXPLAIN body when `explain=1` was requested.
     ///
-    /// Responses that failed *after* the scan (bad `limit`/`format`) pass
-    /// through untouched: the profile is incomplete and recording it would
-    /// skew the flight recorder with parameter errors.
+    /// Only successful scans reach here: parameter errors are answered
+    /// before the scan runs and before a trace id is taken.
     fn complete(
         &self,
         request: &HttpRequest,
@@ -224,9 +223,6 @@ impl Gateway {
         rows_returned: u64,
         response: HttpResponse,
     ) -> HttpResponse {
-        if response.status != 200 {
-            return response;
-        }
         profile.rows_returned = rows_returned;
         profile.response_bytes = response.body.len() as u64;
         let cost = profile.cost();
@@ -285,16 +281,17 @@ impl Gateway {
         }
     }
 
-    /// `/query`: raw row scan, profiled.
+    /// `/query`: raw row scan, profiled. The limit rides in the query, so
+    /// the store's merge stops at it.
     fn query(&self, db: &Database, request: &HttpRequest, ops: &OpsContext) -> HttpResponse {
-        let (table, q) = match ArchiveService::build_query(db, request) {
+        let (table, q, shape) = match ArchiveService::build_row_query(db, request) {
             Ok(v) => v,
             Err(resp) => return resp,
         };
         let degraded = degraded_shards(request, &table, ops);
-        match db.query_profiled(&table, &q, self.new_ctx(ops)) {
+        match db.query_profiled(&table, &q.limit(shape.limit), self.new_ctx(ops)) {
             Ok((rows, profile)) => {
-                let (response, returned) = ArchiveService::respond_rows(request, rows, &degraded);
+                let (response, returned) = shape.respond(rows, profile.rows_post_filter, &degraded);
                 self.complete(request, profile, returned, response)
             }
             Err(e) => store_error(e),
@@ -303,14 +300,14 @@ impl Gateway {
 
     /// `/latest`: last in-range point per series, profiled.
     fn latest(&self, db: &Database, request: &HttpRequest, ops: &OpsContext) -> HttpResponse {
-        let (table, q) = match ArchiveService::build_query(db, request) {
+        let (table, q, shape) = match ArchiveService::build_row_query(db, request) {
             Ok(v) => v,
             Err(resp) => return resp,
         };
         let degraded = degraded_shards(request, &table, ops);
         match db.latest_profiled(&table, &q, self.new_ctx(ops)) {
             Ok((rows, profile)) => {
-                let (response, returned) = ArchiveService::respond_rows(request, rows, &degraded);
+                let (response, returned) = shape.respond(rows, profile.rows_post_filter, &degraded);
                 self.complete(request, profile, returned, response)
             }
             Err(e) => store_error(e),
@@ -324,14 +321,14 @@ impl Gateway {
             Some(Err(_)) => return HttpResponse::error(400, "timestamp must be an integer"),
             None => return HttpResponse::error(400, "missing required parameter: timestamp"),
         };
-        let (table, q) = match ArchiveService::build_query(db, request) {
+        let (table, q, shape) = match ArchiveService::build_row_query(db, request) {
             Ok(v) => v,
             Err(resp) => return resp,
         };
         let degraded = degraded_shards(request, &table, ops);
         match db.value_at_profiled(&table, &q, at, self.new_ctx(ops)) {
             Ok((rows, profile)) => {
-                let (response, returned) = ArchiveService::respond_rows(request, rows, &degraded);
+                let (response, returned) = shape.respond(rows, profile.rows_post_filter, &degraded);
                 self.complete(request, profile, returned, response)
             }
             Err(e) => store_error(e),
@@ -533,43 +530,65 @@ impl ArchiveService {
         Ok((table, q.between(from, to)))
     }
 
-    /// Serialises rows to the requested format, applying `limit`. Also
-    /// returns how many rows the response carries, for the query profile.
-    /// Non-empty `degraded` (impaired shards the request touches) flags
-    /// the JSON body as a partial answer; CSV stays schema-stable and
-    /// unannotated.
-    fn respond_rows(
+    /// [`ArchiveService::build_query`] plus the response shape of a row
+    /// endpoint (`/query`, `/latest`, `/at`), all validated before any
+    /// scan runs.
+    fn build_row_query(
+        db: &Database,
         request: &HttpRequest,
-        mut rows: Vec<Row>,
-        degraded: &[String],
-    ) -> (HttpResponse, u64) {
+    ) -> Result<(String, Query, RowShape), HttpResponse> {
+        let (table, q) = ArchiveService::build_query(db, request)?;
+        Ok((table, q, RowShape::parse(request)?))
+    }
+}
+
+/// How a row endpoint shapes its response: the `limit` and `format`
+/// parameters.
+#[derive(Debug, Clone, Copy)]
+struct RowShape {
+    limit: usize,
+    csv: bool,
+}
+
+impl RowShape {
+    fn parse(request: &HttpRequest) -> Result<RowShape, HttpResponse> {
         let limit = match request.param("limit") {
-            Some(s) => match s.parse::<usize>() {
-                Ok(n) => n,
-                Err(_) => return (HttpResponse::error(400, "limit must be an integer"), 0),
-            },
+            Some(s) => s
+                .parse()
+                .map_err(|_| HttpResponse::error(400, "limit must be an integer"))?,
             None => DEFAULT_LIMIT,
         };
-        let truncated = rows.len() > limit;
-        rows.truncate(limit);
-        let returned = rows.len() as u64;
-        let response = match request.param("format") {
-            Some("csv") => HttpResponse::csv(rows_to_csv(&rows)),
-            Some("json") | None => {
-                let items: Vec<Json> = rows.iter().map(row_to_json).collect();
-                let mut fields = vec![
-                    ("rows", Json::Array(items)),
-                    ("truncated", Json::from(truncated)),
-                ];
-                fields.extend(degraded_fields(degraded));
-                HttpResponse::json(Json::object(fields).render())
-            }
+        let csv = match request.param("format") {
+            Some("csv") => true,
+            Some("json") | None => false,
             Some(other) => {
-                return (
-                    HttpResponse::error(400, &format!("unknown format: {other} (json|csv)")),
-                    0,
-                )
+                return Err(HttpResponse::error(
+                    400,
+                    &format!("unknown format: {other} (json|csv)"),
+                ))
             }
+        };
+        Ok(RowShape { limit, csv })
+    }
+
+    /// Serialises at most `limit` of `rows`; `matched` (every row the
+    /// query matched) decides `truncated`. Also returns how many rows the
+    /// response carries, for the query profile. Non-empty `degraded`
+    /// (impaired shards the request touches) flags the JSON body as a
+    /// partial answer; CSV stays schema-stable and unannotated.
+    fn respond(self, mut rows: Vec<Row>, matched: u64, degraded: &[String]) -> (HttpResponse, u64) {
+        rows.truncate(self.limit);
+        let returned = rows.len() as u64;
+        let response = if self.csv {
+            HttpResponse::csv(rows_to_csv(&rows))
+        } else {
+            let items: Vec<Json> = rows.iter().map(row_to_json).collect();
+            let mut fields = vec![
+                ("rows", Json::Array(items)),
+                ("truncated", Json::from(matched > self.limit as u64)),
+            ];
+            fields.extend(degraded_fields(degraded));
+            HttpResponse::json(Json::object(fields).render())
         };
         (response, returned)
     }
@@ -1059,5 +1078,106 @@ mod tests {
         let ok = get(&db, "/query?table=mc_price&measure=spot_price");
         assert_eq!(ok.status, 200);
         assert!(ok.body_text().contains(r#""value":0.1"#));
+    }
+
+    #[test]
+    fn bad_limit_or_format_is_rejected_before_the_scan() {
+        let db = archive();
+        let gateway = Gateway::new();
+        let ops = OpsContext::none();
+        let store_before = db.metrics().render();
+        for path in [
+            "/query?table=sps&limit=x",
+            "/query?table=sps&format=xml",
+            "/latest?table=sps&limit=-1",
+            "/at?table=sps&timestamp=600&format=yaml",
+        ] {
+            let r = gateway.handle(&db, &HttpRequest::get(path).unwrap(), &ops);
+            assert_eq!(r.status, 400, "{path}");
+        }
+        assert_eq!(
+            db.metrics().render(),
+            store_before,
+            "no store query ran, so no store family moved"
+        );
+        assert_eq!(gateway.flight().observed(), 0);
+        assert_eq!(gateway.query_trace_text(), TraceJournal::new().render());
+        // No trace id was taken: the first real query gets the id it
+        // would get from a fresh gateway.
+        let explain = HttpRequest::get("/query?table=sps&explain=1").unwrap();
+        assert_eq!(
+            gateway.handle(&db, &explain, &ops).body,
+            Gateway::new().handle(&db, &explain, &ops).body
+        );
+    }
+
+    #[test]
+    fn limited_query_explain_decodes_one_head_per_series_plus_the_limit() {
+        let db = archive();
+        let body = get(&db, "/query?table=sps&limit=1&explain=1").body_text();
+        assert!(body.contains("\"series_scanned\":2"), "{body}");
+        assert!(body.contains("\"rows_decoded\":2"), "{body}");
+        assert!(body.contains("\"rows_post_filter\":10"), "{body}");
+        assert!(body.contains("\"rows_returned\":1"), "{body}");
+    }
+
+    #[test]
+    fn inverted_time_range_answers_empty() {
+        let db = archive();
+        let r = get(&db, "/query?table=sps&from=1200&to=600");
+        assert_eq!(r.status, 200);
+        assert_eq!(r.body_text(), "{\"rows\":[],\"truncated\":false}");
+    }
+
+    /// `/query` bodies are byte-identical to materialise-sort-truncate:
+    /// every match collected, sorted by (time, dimensions), then cut at
+    /// the limit — the serving path before the limit reached the store.
+    #[test]
+    fn query_bodies_match_materialise_sort_truncate() {
+        let mut db = archive();
+        // "m5" sorts before "m5.large" by dimensions but after it by
+        // series key, so every t tie exercises the tie-break.
+        for t in 0..5u64 {
+            db.write(
+                "sps",
+                &[Record::new(t * 600, "sps", 2.0)
+                    .dimension("instance_type", "m5")
+                    .dimension("region", "us-east-1")
+                    .dimension("az", "us-east-1a")],
+            )
+            .unwrap();
+        }
+        for filter in [
+            "",
+            "&region=us-east-1",
+            "&instance_type=m5",
+            "&from=600&to=1800",
+        ] {
+            let path = format!("/query?table=sps{filter}");
+            let (table, q) =
+                ArchiveService::build_query(&db, &HttpRequest::get(&path).unwrap()).unwrap();
+            let mut all = db.query(&table, &q).unwrap();
+            all.sort_by(|a, b| {
+                a.time
+                    .cmp(&b.time)
+                    .then_with(|| a.dimensions.cmp(&b.dimensions))
+            });
+            for limit in [0, 1, 2, 7, all.len(), all.len() + 3] {
+                let rows = &all[..limit.min(all.len())];
+                let json = Json::object([
+                    ("rows", Json::Array(rows.iter().map(row_to_json).collect())),
+                    ("truncated", Json::from(all.len() > limit)),
+                ])
+                .render();
+                let got = get(&db, &format!("{path}&limit={limit}"));
+                assert_eq!(got.body_text(), json, "{path}&limit={limit}");
+                let got = get(&db, &format!("{path}&limit={limit}&format=csv"));
+                assert_eq!(
+                    got.body_text(),
+                    rows_to_csv(rows),
+                    "{path}&limit={limit} csv"
+                );
+            }
+        }
     }
 }

@@ -229,9 +229,9 @@ impl Database {
         }
     }
 
-    /// Updates the `spotlake_store_*` read families after a query. Rows
-    /// returned stand in for latency: scan cost in this in-memory store is
-    /// proportional to result size, and wall-clock timing would break the
+    /// Updates the `spotlake_store_*` read families after a query. Result
+    /// rows stand in for latency — for a raw query, every matching row,
+    /// before the query's limit — and wall-clock timing would break the
     /// byte-identical-metrics contract.
     fn record_query_metrics(&self, table: &str, op: &str, rows: usize) {
         let labels = [("table", table), ("op", op)];
@@ -281,14 +281,16 @@ impl Database {
         );
     }
 
-    /// Runs a raw query against a table.
+    /// Runs a raw query against a table: matching rows in (time,
+    /// dimensions) order, up to the query's row limit.
     ///
     /// # Errors
     ///
     /// Returns [`TsError::NoSuchTable`] if the table is absent.
     pub fn query(&self, table: &str, q: &Query) -> Result<Vec<Row>, TsError> {
-        let rows = self.table(table)?.query(q);
-        self.record_query_metrics(table, "query", rows.len());
+        let mut profile = QueryProfile::default();
+        let rows = self.table(table)?.query_profiled(q, &mut profile);
+        self.record_query_metrics(table, "query", profile.rows_post_filter as usize);
         Ok(rows)
     }
 
@@ -307,7 +309,7 @@ impl Database {
     ) -> Result<(Vec<Row>, QueryProfile), TsError> {
         let mut profile = QueryProfile::start("query", table).with_ctx(ctx);
         let rows = self.table(table)?.query_profiled(q, &mut profile);
-        self.record_query_metrics(table, "query", rows.len());
+        self.record_query_metrics(table, "query", profile.rows_post_filter as usize);
         self.record_profile_metrics(&profile);
         Ok((rows, profile))
     }

@@ -1,7 +1,7 @@
 //! Read-side types: queries, rows, aggregation.
 
 /// A query over one table: a measure name, optional dimension equality
-/// filters, and a time range.
+/// filters, a time range, and an optional row limit.
 ///
 /// # Example
 ///
@@ -19,6 +19,7 @@ pub struct Query {
     filters: Vec<(String, String)>,
     from: u64,
     to: u64,
+    limit: Option<usize>,
 }
 
 impl Query {
@@ -29,6 +30,7 @@ impl Query {
             filters: Vec::new(),
             from: 0,
             to: u64::MAX,
+            limit: None,
         }
     }
 
@@ -45,6 +47,16 @@ impl Query {
         self
     }
 
+    /// Caps a raw row query at the first `n` rows in (time, dimensions)
+    /// order; the scan stops there.
+    /// Only [`Table::query`](crate::Table::query) honours the limit: the
+    /// per-series operations (`latest`, `value_at`) and windowed
+    /// aggregation ignore it.
+    pub fn limit(mut self, n: usize) -> Self {
+        self.limit = Some(n);
+        self
+    }
+
     /// The measure this query targets.
     pub fn measure_name(&self) -> &str {
         &self.measure
@@ -58,6 +70,11 @@ impl Query {
     /// The inclusive time range.
     pub fn time_range(&self) -> (u64, u64) {
         (self.from, self.to)
+    }
+
+    /// The row limit, if any.
+    pub fn row_limit(&self) -> Option<usize> {
+        self.limit
     }
 
     /// Whether a series with these dimensions matches the filters.
@@ -117,6 +134,66 @@ impl Aggregate {
     }
 }
 
+/// One window's running fold: everything [`Aggregate::apply`] needs,
+/// accumulated point by point so a windowed query never holds the
+/// window's points. Pushing points in the order `apply` would see them
+/// gives bit-identical results: the sum starts from the same seed as
+/// `Iterator::sum::<f64>`, min and max fold the same way, and `last`
+/// keeps the later-pushed point on equal times, as `max_by_key` does.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WindowFold {
+    count: usize,
+    sum: f64,
+    min: f64,
+    max: f64,
+    last: (u64, f64),
+}
+
+impl Default for WindowFold {
+    fn default() -> Self {
+        WindowFold {
+            count: 0,
+            sum: std::iter::empty::<f64>().sum(),
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+            last: (0, f64::NAN),
+        }
+    }
+}
+
+impl WindowFold {
+    /// Folds in one point.
+    pub(crate) fn push(&mut self, time: u64, value: f64) {
+        self.count += 1;
+        self.sum += value;
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+        if self.count == 1 || time >= self.last.0 {
+            self.last = (time, value);
+        }
+    }
+
+    /// Number of points folded in.
+    pub(crate) fn count(&self) -> usize {
+        self.count
+    }
+
+    /// The aggregate over the points pushed so far; `None` when empty.
+    pub(crate) fn finish(&self, agg: Aggregate) -> Option<f64> {
+        if self.count == 0 {
+            return None;
+        }
+        Some(match agg {
+            Aggregate::Mean => self.sum / self.count as f64,
+            Aggregate::Min => self.min,
+            Aggregate::Max => self.max,
+            Aggregate::Count => self.count as f64,
+            Aggregate::Sum => self.sum,
+            Aggregate::Last => self.last.1,
+        })
+    }
+}
+
 /// One row of a windowed aggregation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowRow {
@@ -162,11 +239,79 @@ mod tests {
         assert_eq!(Aggregate::Mean.apply(&[]), None);
     }
 
+    fn fold(points: &[(u64, f64)]) -> WindowFold {
+        let mut f = WindowFold::default();
+        for &(t, v) in points {
+            f.push(t, v);
+        }
+        f
+    }
+
+    const ALL: [Aggregate; 6] = [
+        Aggregate::Mean,
+        Aggregate::Min,
+        Aggregate::Max,
+        Aggregate::Count,
+        Aggregate::Sum,
+        Aggregate::Last,
+    ];
+
+    #[test]
+    fn fold_matches_apply_on_edge_values() {
+        let cases: [&[(u64, f64)]; 6] = [
+            &[],
+            &[(3, -0.0)],
+            &[(3, -0.0), (1, -0.0)],
+            &[(5, 1.0), (5, 2.0), (4, 9.0)],
+            &[(0, f64::NAN), (1, 1.0)],
+            &[(2, 1e308), (1, 1e308), (0, -1e308)],
+        ];
+        for pts in cases {
+            let f = fold(pts);
+            for agg in ALL {
+                assert_eq!(
+                    f.finish(agg).map(f64::to_bits),
+                    agg.apply(pts).map(f64::to_bits),
+                    "{agg:?} over {pts:?}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn fold_is_bit_identical_to_apply(
+            pts in proptest::collection::vec(
+                (
+                    0u64..8,
+                    proptest::prop_oneof![
+                        proptest::arbitrary::any::<f64>(),
+                        -4.0f64..4.0,
+                        proptest::strategy::Just(-0.0),
+                        proptest::strategy::Just(0.0),
+                    ],
+                ),
+                0..40,
+            )
+        ) {
+            let f = fold(&pts);
+            for agg in ALL {
+                proptest::prop_assert_eq!(
+                    f.finish(agg).map(f64::to_bits),
+                    agg.apply(&pts).map(f64::to_bits)
+                );
+            }
+            proptest::prop_assert_eq!(f.count(), pts.len());
+        }
+    }
+
     #[test]
     fn default_range_is_everything() {
         let q = Query::measure("m");
         assert_eq!(q.time_range(), (0, u64::MAX));
         let q = q.between(5, 10);
         assert_eq!(q.time_range(), (5, 10));
+        assert_eq!(q.row_limit(), None, "no limit unless asked");
+        assert_eq!(q.limit(3).row_limit(), Some(3));
     }
 }

@@ -1,5 +1,7 @@
 //! One series: the points of a single (measure, dimensions) pair.
 
+use std::ops::Range;
+
 /// Storage chunk size in points, for query cost accounting. The on-disk
 /// codec compresses each series as one Gorilla stream, but a columnar
 /// store pages data in fixed chunks; the cost model charges a query one
@@ -72,11 +74,18 @@ impl Series {
         &self.points
     }
 
+    /// Index range of the points with `from <= t <= to`, found by binary
+    /// search on the time index without decoding any point.
+    pub(crate) fn range_indices(&self, from: u64, to: u64) -> Range<usize> {
+        let start = self.points.partition_point(|&(t, _)| t < from);
+        let end = self.points.partition_point(|&(t, _)| t <= to);
+        start..end.max(start)
+    }
+
     /// Points with `from <= t <= to`, plus the number of storage chunks
     /// the scan touched, for query cost accounting.
     pub(crate) fn range_scan(&self, from: u64, to: u64) -> (&[(u64, f64)], u64) {
-        let start = self.points.partition_point(|&(t, _)| t < from);
-        let end = self.points.partition_point(|&(t, _)| t <= to);
+        let Range { start, end } = self.range_indices(from, to);
         (&self.points[start..end], chunks_touched(start, end))
     }
 

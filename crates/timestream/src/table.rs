@@ -2,10 +2,13 @@
 
 use crate::error::TsError;
 use crate::profile::QueryProfile;
-use crate::query::{Aggregate, Query, Row, WindowRow};
+use crate::query::{Aggregate, Query, Row, WindowFold, WindowRow};
 use crate::record::{series_key, Record};
-use crate::series::Series;
-use std::collections::BTreeMap;
+use crate::series::{chunks_touched, Series};
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BTreeMap, BinaryHeap};
+use std::ops::Range;
 
 /// How writes are stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -72,14 +75,78 @@ impl Table {
         })
     }
 
-    /// Runs a raw query: all matching points from all matching series,
-    /// sorted by (time, series).
+    /// Runs a raw query: matching points from all matching series,
+    /// sorted by (time, dimensions), up to the query's row limit.
     pub fn query(&self, q: &Query) -> Vec<Row> {
         self.query_profiled(q, &mut QueryProfile::default())
     }
 
     /// [`Table::query`] while accumulating scan costs into `profile`.
+    ///
+    /// A k-way merge over the candidate series' in-range slices: a heap
+    /// holds each series' next point keyed by (time, dimensions) — the
+    /// order a full sort of every match would produce — and the merge
+    /// stops once the limit is reached. Dimensions are cloned only for
+    /// emitted rows. `rows_post_filter` is the exact match count, taken
+    /// from each slice's bounds without decoding; `rows_decoded` and
+    /// `chunks_decompressed` count only the points and pages the merge
+    /// read, at most one per candidate series plus the limit.
     pub fn query_profiled(&self, q: &Query, profile: &mut QueryProfile) -> Vec<Row> {
+        let (from, to) = q.time_range();
+        profile.observe_query(q);
+        let limit = q.row_limit().unwrap_or(usize::MAX);
+        // Per candidate: its in-range index range and the points read.
+        let mut cursors: Vec<(&Series, Range<usize>, usize)> = self
+            .scan_candidates(q, from, to, profile)
+            .into_iter()
+            .map(|series| (series, series.range_indices(from, to), 0))
+            .collect();
+        let matched: usize = cursors.iter().map(|(_, range, _)| range.len()).sum();
+        profile.rows_post_filter = matched as u64;
+
+        let mut heap = BinaryHeap::with_capacity(cursors.len());
+        if limit > 0 {
+            for (i, (series, range, read)) in cursors.iter_mut().enumerate() {
+                if let Some(&(time, _)) = series.points()[range.clone()].first() {
+                    *read = 1;
+                    heap.push(Reverse((time, series.dimensions.as_slice(), i)));
+                }
+            }
+        }
+        let mut rows = Vec::with_capacity(limit.min(matched));
+        while rows.len() < limit {
+            let Some(mut head) = heap.peek_mut() else {
+                break;
+            };
+            let Reverse((time, dimensions, i)) = *head;
+            let (series, range, read) = &mut cursors[i];
+            let points = &series.points()[range.clone()];
+            rows.push(Row {
+                time,
+                value: points[*read - 1].1,
+                dimensions: dimensions.to_vec(),
+            });
+            match points.get(*read) {
+                Some(&(next, _)) if rows.len() < limit => {
+                    *read += 1;
+                    head.0 .0 = next;
+                }
+                _ => {
+                    PeekMut::pop(head);
+                }
+            }
+        }
+        for (_, range, read) in &cursors {
+            profile.rows_decoded += *read as u64;
+            profile.chunks_decompressed += chunks_touched(range.start, range.start + read);
+        }
+        rows
+    }
+
+    /// The materialise-sort-truncate scan [`Table::query_profiled`]
+    /// replaced, kept as the reference the merge is tested against.
+    #[cfg(test)]
+    fn query_reference(&self, q: &Query, profile: &mut QueryProfile) -> Vec<Row> {
         let (from, to) = q.time_range();
         profile.observe_query(q);
         let mut rows = Vec::new();
@@ -101,6 +168,7 @@ impl Table {
                 .then_with(|| a.dimensions.cmp(&b.dimensions))
         });
         profile.rows_post_filter = rows.len() as u64;
+        rows.truncate(q.row_limit().unwrap_or(usize::MAX));
         rows
     }
 
@@ -179,7 +247,8 @@ impl Table {
     }
 
     /// [`Table::query_window`] while accumulating scan costs into
-    /// `profile`: every in-range point is decoded, and the aggregated
+    /// `profile`: every in-range point is decoded and folded into its
+    /// window's running aggregate as it streams past, and the aggregated
     /// window rows are what survives the filter stage.
     ///
     /// # Panics
@@ -196,23 +265,23 @@ impl Table {
         let (from, to) = q.time_range();
         profile.observe_query(q);
         let base = from;
-        let mut buckets: BTreeMap<u64, Vec<(u64, f64)>> = BTreeMap::new();
+        let mut folds: BTreeMap<u64, WindowFold> = BTreeMap::new();
         for series in self.scan_candidates(q, from, to, profile) {
             let (pts, chunks) = series.range_scan(from, to);
             profile.chunks_decompressed += chunks;
             profile.rows_decoded += pts.len() as u64;
             for &(time, value) in pts {
                 let w = base + ((time - base) / window) * window;
-                buckets.entry(w).or_default().push((time, value));
+                folds.entry(w).or_default().push(time, value);
             }
         }
-        let rows: Vec<WindowRow> = buckets
+        let rows: Vec<WindowRow> = folds
             .into_iter()
-            .filter_map(|(window_start, pts)| {
-                agg.apply(&pts).map(|value| WindowRow {
+            .filter_map(|(window_start, fold)| {
+                fold.finish(agg).map(|value| WindowRow {
                     window_start,
                     value,
-                    count: pts.len(),
+                    count: fold.count(),
                 })
             })
             .collect();
@@ -458,6 +527,67 @@ mod tests {
     }
 
     #[test]
+    fn limited_query_reads_one_point_per_series_plus_the_limit() {
+        let mut t = Table::new(TableOptions::default());
+        for s in 0..20u64 {
+            for i in 0..300u64 {
+                t.write(&Record::new(i * 600, "sps", s as f64).dimension("k", format!("s{s:02}")))
+                    .unwrap();
+            }
+        }
+        let q = Query::measure("sps").limit(10);
+        let mut profile = QueryProfile::default();
+        let rows = t.query_profiled(&q, &mut profile);
+        assert_eq!(rows.len(), 10);
+        assert!(rows.iter().all(|r| r.time == 0), "all 20 series tie at t=0");
+        assert_eq!(rows[0].dimensions, vec![("k".to_owned(), "s00".to_owned())]);
+        assert_eq!(profile.rows_post_filter, 6000, "exact match count");
+        assert_eq!(
+            profile.rows_decoded,
+            20 + 9,
+            "one head per series, plus the successor of each emitted row but the last"
+        );
+        assert_eq!(profile.chunks_decompressed, 20, "one page per series");
+
+        // Fully consumed, the merge decodes exactly what a full scan does.
+        let mut full = QueryProfile::default();
+        assert_eq!(
+            t.query_profiled(&Query::measure("sps"), &mut full).len(),
+            6000
+        );
+        assert_eq!(full.rows_decoded, 6000);
+        assert_eq!(full.chunks_decompressed, 40, "300 points span 2 pages");
+
+        let mut none = QueryProfile::default();
+        assert!(t.query_profiled(&q.clone().limit(0), &mut none).is_empty());
+        assert_eq!((none.rows_decoded, none.rows_post_filter), (0, 6000));
+    }
+
+    #[test]
+    fn ties_break_on_dimensions_not_on_series_key_order() {
+        // The series key "|instance_type=m5.large|region=…" sorts before
+        // "|instance_type=m5|region=…" ('.' < '|'); the dimension tuples
+        // order "m5" first.
+        let mut t = Table::new(TableOptions::default());
+        for ty in ["m5.large", "m5"] {
+            let record = Record::new(0, "sps", 1.0)
+                .dimension("instance_type", ty)
+                .dimension("region", "us-east-1");
+            t.write(&record).unwrap();
+        }
+        let first = &t.query(&Query::measure("sps").limit(1))[0];
+        assert_eq!(first.dimensions[0].1, "m5");
+    }
+
+    #[test]
+    fn inverted_time_range_matches_nothing() {
+        let t = sample_table();
+        let q = Query::measure("sps").between(1200, 600);
+        assert!(t.query(&q).is_empty());
+        assert!(t.query_window(&q, 600, Aggregate::Count).is_empty());
+    }
+
+    #[test]
     fn profiled_latest_and_value_at_charge_single_chunks() {
         let t = sample_table();
         let q = Query::measure("sps");
@@ -488,5 +618,85 @@ mod tests {
         );
         assert_eq!(profile.rows_decoded, 5, "every in-range point decoded");
         assert_eq!(profile.rows_post_filter, 3, "three non-empty windows");
+    }
+
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Dimension values where one is a prefix of another, so series
+        /// key order and dimension order disagree.
+        const TYPES: [&str; 4] = ["m5", "m5.large", "m5.l", "p3"];
+        const REGIONS: [&str; 2] = ["us-east-1", "us-east-1a"];
+
+        fn table() -> impl Strategy<Value = Table> {
+            prop::collection::vec((0u64..40, 0usize..4, 0usize..2, -5i32..5), 0..150).prop_map(
+                |writes| {
+                    let mut t = Table::new(TableOptions::default());
+                    for (time, ty, region, v) in writes {
+                        let record = Record::new(time * 300, "sps", f64::from(v))
+                            .dimension("instance_type", TYPES[ty])
+                            .dimension("region", REGIONS[region]);
+                        t.write(&record).unwrap();
+                    }
+                    t
+                },
+            )
+        }
+
+        /// Optional type and region filters (an out-of-range index means
+        /// none) and an optional, possibly inverted, time range.
+        fn query() -> impl Strategy<Value = Query> {
+            (
+                0usize..5,
+                0usize..3,
+                any::<bool>(),
+                0u64..12_000,
+                0u64..12_000,
+            )
+                .prop_map(|(ty, region, ranged, from, to)| {
+                    let mut q = Query::measure("sps");
+                    if let Some(ty) = TYPES.get(ty) {
+                        q = q.filter("instance_type", *ty);
+                    }
+                    if let Some(region) = REGIONS.get(region) {
+                        q = q.filter("region", *region);
+                    }
+                    if ranged {
+                        q = q.between(from, to);
+                    }
+                    q
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The merge returns exactly what materialise-sort-truncate
+            /// returns, with the same exact match count, for limits of
+            /// 0, 1, the total, past the total, and random.
+            #[test]
+            fn merge_matches_the_reference(t in table(), q in query(), pick in 0usize..200) {
+                let mut all = QueryProfile::default();
+                let reference_all = t.query_reference(&q, &mut all);
+                let total = reference_all.len();
+                let mut unlimited = QueryProfile::default();
+                prop_assert_eq!(t.query_profiled(&q, &mut unlimited), reference_all);
+                prop_assert_eq!(&unlimited, &all, "a fully consumed merge costs the same");
+                for limit in [0, 1, total, total + 1, pick] {
+                    let q = q.clone().limit(limit);
+                    let (mut merged, mut reference) = (QueryProfile::default(), QueryProfile::default());
+                    let rows = t.query_profiled(&q, &mut merged);
+                    prop_assert_eq!(&rows, &t.query_reference(&q, &mut reference));
+                    prop_assert_eq!(merged.rows_post_filter, reference.rows_post_filter);
+                    prop_assert_eq!(
+                        merged.rows_post_filter > limit as u64,
+                        total > limit,
+                        "truncation outcome"
+                    );
+                    prop_assert!(merged.rows_decoded <= merged.series_scanned + limit as u64);
+                }
+            }
+        }
     }
 }
